@@ -612,6 +612,9 @@ def _serving_load_timings(workload: dict) -> dict:
                 "stages": model_metrics.get("stages"),
                 "queue_wait": model_metrics.get("queue_wait"),
                 "render": render,
+                # Per worker process; absent on the threaded tier.
+                "blas_threads": model_metrics.get("workers", {}).get(
+                    "blas_threads"),
             }
 
         with ctx.Pool(clients) as pool:
@@ -939,8 +942,13 @@ def _telemetry_timings(workload: dict, repeats: int) -> dict:
         finally:
             batcher.close()
 
-    disarmed_s = min(run_submits(False) for _ in range(repeats))
-    armed_s = min(run_submits(True) for _ in range(repeats))
+    # Interleaved: a host speed change partway through then slows runs of
+    # both kinds, instead of reading as an armed/disarmed ratio.
+    disarmed, armed = [], []
+    for _ in range(repeats):
+        disarmed.append(run_submits(False))
+        armed.append(run_submits(True))
+    disarmed_s, armed_s = min(disarmed), min(armed)
     report["serving_requests"] = requests
     report["serving_request_rows"] = rows
     report["serving_disarmed_s"] = disarmed_s
@@ -1300,7 +1308,8 @@ def format_report(report: dict) -> str:
                     lines.append(
                         f"    workers={count}  {run['rows_per_s']:>12,.0f} "
                         f"rows/s  p50 {run['p50_ms']:7.1f} ms  "
-                        f"p99 {run['p99_ms']:7.1f} ms"
+                        f"p99 {run['p99_ms']:7.1f} ms  "
+                        f"BLAS threads {run.get('blas_threads')}"
                     )
                 lines.append(
                     f"    scaling 1->2 workers: {sweep['scaling_1_to_2']:.2f}x"

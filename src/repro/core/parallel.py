@@ -59,6 +59,7 @@ import multiprocessing
 import os
 import time
 import traceback
+from contextlib import nullcontext
 from multiprocessing import shared_memory
 from queue import Empty
 from types import SimpleNamespace
@@ -78,6 +79,7 @@ from repro.core.trainer import EpochLosses, FeatureStats, TableGanTrainer, Train
 from repro.nn import Sequential
 from repro.nn.batchnorm import BatchNorm
 from repro.obs import trace
+from repro.utils.blas import cap_blas_threads, limit_blas_threads, thread_budget
 from repro.utils.faults import fault_point
 from repro.utils.rng import ensure_rng
 
@@ -303,6 +305,9 @@ def _worker_main(trainer: "ParallelTrainer", rank: int, shard_ids,
     memory, gradients are private copy-on-write scratch)."""
     round_id = -1
     try:
+        # Inherited from the budgeted master already; set it explicitly so
+        # the worker's share never depends on how it was started.
+        cap_blas_threads(thread_budget(trainer._n_procs))
         executor = _ShardExecutor(trainer, shard_ids, trainer._stats_view())
         while True:
             command = cmd_queue.get()
@@ -345,6 +350,10 @@ class ParallelTrainer(TableGanTrainer):
         How long the master waits for a round's worker results before
         declaring the round hung.  Dead workers are detected within a
         fraction of a second regardless.
+
+    With more than one process, every process (the master included)
+    runs BLAS on ``cores // processes`` threads for the duration of
+    :meth:`train`; the master's own count comes back afterwards.
     """
 
     def __init__(self, generator: Sequential, discriminator: Sequential,
@@ -772,6 +781,12 @@ class ParallelTrainer(TableGanTrainer):
         The loop structure (probe, restore, per-epoch shuffle, cursors,
         checkpointer hooks) deliberately mirrors the serial trainer so
         checkpoints are interchangeable across worker counts."""
+        budget = (limit_blas_threads(thread_budget(self._n_procs))
+                  if self._n_procs > 1 else nullcontext())
+        with budget:
+            return self._train(matrices, rng, on_epoch_end, checkpointer)
+
+    def _train(self, matrices, rng, on_epoch_end, checkpointer):
         config = self.config
         matrices = np.ascontiguousarray(matrices, dtype=self._dtype)
         if matrices.ndim not in (3, 4) or matrices.shape[1] != 1:

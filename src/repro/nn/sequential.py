@@ -82,25 +82,31 @@ class Sequential(Layer):
         Unlike :meth:`forward`, no per-layer activations are recorded
         (``activation()`` still reports the last recorded pass); like any
         forward, it clobbers the layers' backward caches.
+
+        A one-row chunk runs as a duplicated two-row pair: with one row,
+        BLAS takes its matrix-vector path, whose float32 results differ
+        in the last bits from the same row inside a larger batch.
         """
         chunk = self.STREAM_CHUNK_ROWS if chunk_rows is None else int(chunk_rows)
         if chunk <= 0:
             raise ValueError(f"chunk_rows must be positive, got {chunk_rows}")
         n = x.shape[0]
         if n <= chunk:
-            out = x
-            for layer in self.layers:
-                out = layer.forward(out, training=False)
-            return out
+            return self._infer(x)
         final: np.ndarray | None = None
         for start in range(0, n, chunk):
-            out = x[start: min(start + chunk, n)]
-            for layer in self.layers:
-                out = layer.forward(out, training=False)
+            out = self._infer(x[start: min(start + chunk, n)])
             if final is None:
                 final = np.empty((n,) + out.shape[1:], dtype=out.dtype)
             final[start: start + out.shape[0]] = out
         return final
+
+    def _infer(self, x: np.ndarray) -> np.ndarray:
+        single = x.shape[0] == 1
+        out = np.concatenate([x, x]) if single else x
+        for layer in self.layers:
+            out = layer.forward(out, training=False)
+        return out[:1] if single else out
 
     def activation(self, name_or_index) -> np.ndarray:
         """Cached output of a layer from the most recent forward pass."""

@@ -41,6 +41,7 @@ Failure handling: each model's batcher worker is supervised (crash →
 restart with backoff, poison quarantine, dead models evicted and
 reloaded by the router on the next request), a corrupt artifact is 503 +
 ``Retry-After`` (retryable: re-registration repairs it) rather than 500,
+so is a worker pool that failed or produced no rows within its bound,
 and the whole surface is driven by the deterministic fault-injection
 points documented in :mod:`repro.utils.faults`.
 
@@ -84,6 +85,7 @@ from repro.serve.server.batcher import (
     QueueSaturated,
     WorkerCrashed,
 )
+from repro.serve.server.procpool import WorkerPoolError
 from repro.serve.server.router import (
     ModelRouter,
     RouterClosed,
@@ -508,6 +510,9 @@ class _Handler(BaseHTTPRequestHandler):
                 raise _HttpError(504, str(exc)) from exc
             except WorkerCrashed as exc:
                 raise _HttpError(500, str(exc)) from exc
+            except WorkerPoolError as exc:
+                # The router replaces a failed pool on the next request.
+                raise _HttpError(503, str(exc), {"Retry-After": "1"}) from exc
             except BatcherClosed as exc:
                 if self.app.draining or attempt:
                     raise _HttpError(503, "server is draining",
@@ -570,6 +575,8 @@ class _Handler(BaseHTTPRequestHandler):
                 raise _HttpError(500, "empty stream") from None
             except DeadlineExceeded as exc:
                 raise _HttpError(504, str(exc)) from exc
+            except WorkerPoolError as exc:
+                raise _HttpError(503, str(exc), {"Retry-After": "1"}) from exc
             except Exception as exc:
                 raise _HttpError(500, f"stream failed: {exc}") from exc
 

@@ -23,7 +23,7 @@ Dataflow::
     rng ──draw z for block k──▶ latent ring ──▶ load model from registry
     task queue (k, trace ctx) ─────────────▶    records_from_latents
     decoded ring ◀──────write slot k % S────    codec.decode
-    result queue ◀──("done", rank, k, …)───     (own queue per worker)
+    result pipe  ◀──("done", rank, k, …)───     (own pipes per worker)
 
 The ring holds ``S`` blocks of ``B = batch_rows`` rows; block ``k`` lives
 in slot ``k % S``, so stream row ``r`` sits at ring row ``r % (S*B)``.  A
@@ -43,6 +43,14 @@ crosses the process boundary: the task carries the submitting trace
 context, workers arm their own tracer on the shared JSONL sink, and
 worker-reported stage seconds feed the parent's :class:`PhaseProfile`
 plus per-worker metrics series.
+
+Every channel between the front end and a worker belongs to that worker
+alone and is dropped with it.  A process killed mid-write can leave a
+shared queue's lock held forever (a dead process never releases a
+semaphore), which would silence every other worker; a private pipe can
+only poison itself.  Each worker also caps its BLAS threads at
+``cores // workers`` (:mod:`repro.utils.blas`), so the pool's workers
+share the cores instead of each running a full-width thread team.
 """
 
 from __future__ import annotations
@@ -52,6 +60,7 @@ import threading
 import time
 import weakref
 from multiprocessing import get_context, shared_memory
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -60,6 +69,7 @@ from repro.data.table import Table
 from repro.obs import trace
 from repro.obs.profile import PhaseProfile
 from repro.serve.service import ServiceStats
+from repro.utils.blas import blas_threads, cap_blas_threads, thread_budget
 from repro.utils.faults import fault_point
 from repro.utils.rng import ensure_rng
 
@@ -73,6 +83,9 @@ class WorkerPoolError(RuntimeError):
 #: test — and an operator — can spot leaked ``/dev/shm`` segments.
 _SEGMENT_SEQ = 0
 _SEGMENT_LOCK = threading.Lock()
+#: Held from a worker's fork until the parent closes its copy of the
+#: worker's result-pipe write end, so no other pool's fork inherits it.
+_SPAWN_LOCK = threading.Lock()
 
 
 def _segment_name(tag: str) -> str:
@@ -124,14 +137,16 @@ def _unlink_quietly(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
-def _pool_worker_main(rank, registry_root, ref, dec_name, lat_name, slots,
-                      block_rows, batch_rows, n_features, latent_dim,
-                      task_q, result_q, trace_log, quality_cfg=None):
+def _pool_worker_main(rank, workers, registry_root, ref, dec_name, lat_name,
+                      slots, block_rows, batch_rows, n_features, latent_dim,
+                      task_q, result_conn, trace_log, quality_cfg=None):
     """One model worker: drain ``task_q``, generate blocks into the ring.
 
     Module-level (spawn-picklable).  Loads its own copy of the model from
     the registry, so the parent never holds generator weights in the
-    multi-process mode.
+    multi-process mode.  Results go to ``result_conn``, the write end of
+    this worker's own pipe; the first message reports the worker's BLAS
+    thread budget (``workers`` processes share the cores).
 
     ``quality_cfg`` is ``(col_min, col_max, bins)`` when the parent runs a
     quality monitor: the worker then computes a stats-only sketch of each
@@ -147,6 +162,11 @@ def _pool_worker_main(rank, registry_root, ref, dec_name, lat_name, slots,
     trace._TRACER = None
     if trace_log:
         trace.arm(str(trace_log))
+    cap_blas_threads(thread_budget(workers))
+    try:
+        result_conn.send(("ready", rank, blas_threads()))
+    except OSError:
+        return  # the pool closed while this worker started
     dec_shm = _attach_segment(dec_name)
     lat_shm = _attach_segment(lat_name)
     try:
@@ -163,8 +183,8 @@ def _pool_worker_main(rank, registry_root, ref, dec_name, lat_name, slots,
             model = ModelRegistry(registry_root).load(ref)
             sampler = model.record_sampler()
         except Exception as exc:
-            result_q.put(("fatal", rank,
-                          f"loading {ref!r}: {type(exc).__name__}: {exc}"))
+            result_conn.send(("fatal", rank,
+                              f"loading {ref!r}: {type(exc).__name__}: {exc}"))
             return
         if quality_cfg is not None:
             from repro.obs.quality import TableSketch
@@ -204,10 +224,12 @@ def _pool_worker_main(rank, registry_root, ref, dec_name, lat_name, slots,
                         sketch = sk.to_payload(arrays=True)
                     except BaseException:
                         sketch = None
-                result_q.put(("done", rank, k, t1 - t0, t2 - t1, sketch))
+                result = ("done", rank, k, t1 - t0, t2 - t1, sketch)
             except Exception as exc:
-                result_q.put(("error", rank, k,
-                              f"{type(exc).__name__}: {exc}"))
+                result = ("error", rank, k, f"{type(exc).__name__}: {exc}")
+            result_conn.send(result)
+    except OSError:
+        pass  # the front end closed this worker's pipe: the pool is closing
     finally:
         del dec, lat
         try:
@@ -242,6 +264,10 @@ class WorkerPoolService:
         As in the threaded service.  ``batch_rows`` doubles as the block
         size ``B``; the ring rounds ``pool_size`` up to whole blocks and
         at least ``workers + 2`` slots so every worker can generate ahead.
+    take_timeout_s:
+        Bound on one :meth:`take_block`'s total wait for rows.  On expiry
+        the pool fails with :class:`WorkerPoolError` (an HTTP 503), and
+        the router replaces it on the next request.
     """
 
     def __init__(self, registry, ref: str, *, workers: int = 2,
@@ -249,9 +275,13 @@ class WorkerPoolService:
                  start_method: str | None = None, trace_log=None,
                  metrics_registry=None, name: str | None = None,
                  max_restarts: int = 3, restart_backoff_s: float = 0.05,
-                 block_retries: int = 2, quality=None):
+                 block_retries: int = 2, quality=None,
+                 take_timeout_s: float = 60.0):
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
+        if take_timeout_s <= 0:
+            raise ValueError(
+                f"take_timeout_s must be positive, got {take_timeout_s}")
         if batch_rows <= 0:
             raise ValueError(f"batch_rows must be positive, got {batch_rows}")
         if pool_size < 0:
@@ -286,6 +316,7 @@ class WorkerPoolService:
         self.max_restarts = max_restarts
         self.restart_backoff_s = restart_backoff_s
         self.block_retries = block_retries
+        self.take_timeout_s = take_timeout_s
 
         # Shared rings: decoded rows (what responses serve) and the
         # centrally drawn latents (what makes re-generation bit-exact).
@@ -350,11 +381,13 @@ class WorkerPoolService:
         method = start_method or "fork"
         self._ctx = get_context(method)
         self.start_method = method
-        self._result_q = self._ctx.Queue()
         self._procs: list = [None] * workers
         self._task_qs: list = [None] * workers
+        self._result_conns: list = [None] * workers
         self._assigned: list[set[int]] = [set() for _ in range(workers)]
         self.worker_pids: list[int | None] = [None] * workers
+        #: Each worker's BLAS thread count, as it reported at start.
+        self.worker_blas_threads: list[int | None] = [None] * workers
         try:
             for rank in range(workers):
                 self._spawn(rank)
@@ -372,15 +405,22 @@ class WorkerPoolService:
     # ------------------------------------------------------------------
     def _spawn(self, rank: int) -> None:
         q = self._ctx.SimpleQueue()
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_pool_worker_main,
-            args=(rank, self._registry_root, self.ref, self._dec_shm.name,
-                  self._lat_shm.name, self._S, self._B, self.batch_rows,
-                  self.n_features, self.latent_dim, q, self._result_q,
-                  self._trace_log, self._quality_cfg),
+            args=(rank, self.workers, self._registry_root, self.ref,
+                  self._dec_shm.name, self._lat_shm.name, self._S, self._B,
+                  self.batch_rows, self.n_features, self.latent_dim, q,
+                  writer, self._trace_log, self._quality_cfg),
             name=f"pool-{self.name}-{rank}", daemon=True)
-        proc.start()
+        # Forks are serialized and the parent drops its write end at once,
+        # so the worker holds the only one: its death reads as EOF.
+        with _SPAWN_LOCK:
+            proc.start()
+            writer.close()
         self._task_qs[rank] = q
+        self._result_conns[rank] = reader
+        self.worker_blas_threads[rank] = None
         self._procs[rank] = proc
         self.worker_pids[rank] = proc.pid
         if self._g_alive is not None:
@@ -392,17 +432,23 @@ class WorkerPoolService:
 
     def _collect_forever(self) -> None:
         """Drain worker results; supervise crashes and respawns."""
-        import queue as _queue
         backoff = self.restart_backoff_s
         while not self._stop.is_set():
-            try:
-                msg = self._result_q.get(timeout=0.05)
-            except (_queue.Empty, OSError, EOFError):
-                msg = None
-            if msg is not None:
-                self._handle_result(msg)
-                continue
-            # Liveness sweep: a SIGKILL'd worker never reports.
+            readers = [c for c in self._result_conns if c is not None]
+            if readers:
+                ready = wait(readers, timeout=0.05)
+            else:
+                self._stop.wait(0.05)
+                ready = []
+            for conn in ready:
+                try:
+                    self._handle_result(conn.recv())
+                except (EOFError, OSError):
+                    # The worker is gone (a kill can also cut a message
+                    # short); stop reading its pipe, the sweep respawns it.
+                    self._drop_conn(conn)
+            # Liveness sweep: a SIGKILL'd worker may die without EOF
+            # reaching us first.
             dead = []
             for rank, proc in enumerate(self._procs):
                 if proc is not None and not proc.is_alive():
@@ -431,9 +477,18 @@ class WorkerPoolService:
                 self._pump_locked()
                 self._cond.notify_all()
 
+    def _drop_conn(self, conn) -> None:
+        for rank, live in enumerate(self._result_conns):
+            if live is conn:
+                self._result_conns[rank] = None
+        conn.close()
+
     def _handle_result(self, msg) -> None:
         kind = msg[0]
-        if kind == "done":
+        if kind == "ready":
+            _, rank, threads = msg
+            self.worker_blas_threads[rank] = threads
+        elif kind == "done":
             _, rank, k, gen_s, dec_s, sketch = msg
             with self._cond:
                 self._assigned[rank].discard(k)
@@ -495,15 +550,20 @@ class WorkerPoolService:
     def _handle_crash(self, rank: int) -> None:
         proc = self._procs[rank]
         exitcode = proc.exitcode if proc is not None else None
-        self._procs[rank] = None
-        self._task_qs[rank] = None  # queued tasks die with the process
-        self.worker_pids[rank] = None
-        self.crashes += 1
-        if self._m_crashes is not None:
-            self._m_crashes.inc()
         trace.log_event("pool.worker_crash", model=self.name, rank=rank,
                         exitcode=exitcode)
+        if self._m_crashes is not None:
+            self._m_crashes.inc()
+        # Under the lock: a concurrent take_block's pump must never see a
+        # live-looking rank whose task queue is already gone.
         with self._cond:
+            self._procs[rank] = None
+            self._task_qs[rank] = None  # queued tasks die with the process
+            conn = self._result_conns[rank]
+            if conn is not None:
+                self._drop_conn(conn)
+            self.worker_pids[rank] = None
+            self.crashes += 1
             if self._g_alive is not None:
                 self._g_alive.set(self.alive_workers)
             # Blocks the dead worker held regenerate from the same
@@ -618,6 +678,7 @@ class WorkerPoolService:
                 "workers": self.workers,
                 "alive": self.alive_workers,
                 "pids": [pid for pid in self.worker_pids if pid],
+                "blas_threads": list(self.worker_blas_threads),
                 "crashes": self.crashes,
                 "restarts": self.restarts,
                 "ring_slots": self._S,
@@ -666,6 +727,7 @@ class WorkerPoolService:
         if any(c <= 0 for c in counts):
             raise ValueError(f"every request must be positive, got {counts}")
         total = sum(counts)
+        deadline = time.monotonic() + self.take_timeout_s
         with trace.span("service.take_block", rows=total,
                         requests=len(counts)):
             out = np.empty((total, self.n_features), dtype=np.float64)
@@ -689,7 +751,13 @@ class WorkerPoolService:
                             self._cond.notify_all()
                             continue
                         self._check_locked()
-                        self._cond.wait(0.5)
+                        left = deadline - time.monotonic()
+                        if left <= 0:
+                            self._fail_locked(
+                                f"take_block waited {self.take_timeout_s:g}s "
+                                f"for stream rows {claim[0]}..{base + total}")
+                            self._check_locked()
+                        self._cond.wait(min(0.5, left))
                 finally:
                     self._pending_copies.remove(claim)
                     self._cond.notify_all()
@@ -790,6 +858,11 @@ class WorkerPoolService:
                     q.put(None)
                 except (OSError, ValueError):
                     pass
+        # Closing the read ends first frees any worker blocked on a full
+        # pipe: its send fails and it exits instead of waiting to be killed.
+        for conn in self._result_conns:
+            if conn is not None:
+                conn.close()
         for proc in self._procs:
             if proc is None:
                 continue
@@ -799,10 +872,6 @@ class WorkerPoolService:
                 proc.join(timeout=5.0)
         if self._g_alive is not None:
             self._g_alive.set(0)
-        try:
-            self._result_q.close()
-        except (OSError, ValueError):
-            pass
         # Drop our ring views before unlinking so close() can succeed
         # whenever no response views remain.
         self._dec = None

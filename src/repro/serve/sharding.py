@@ -31,6 +31,7 @@ import numpy as np
 
 from repro.data.table import Table
 from repro.serve.registry import ModelRegistry, RegistryError
+from repro.utils.blas import cap_blas_threads, thread_budget
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,10 @@ def plan_shards(n: int, shard_rows: int, seed=None) -> list[Shard]:
 _WORKER_MODEL: dict = {}
 
 
-def _worker_init(root: str, name: str) -> None:
+def _worker_init(root: str, name: str, workers: int) -> None:
+    # The pool's processes share the cores: each gets its slice of BLAS
+    # threads rather than a full-width team apiece.
+    cap_blas_threads(thread_budget(workers))
     _WORKER_MODEL["model"] = ModelRegistry(root).load(name)
 
 
@@ -151,7 +155,7 @@ class ShardedSampler:
         ctx = multiprocessing.get_context(self.start_method)
         with ctx.Pool(
             workers, initializer=_worker_init,
-            initargs=(os.fspath(self.registry.root), self.name),
+            initargs=(os.fspath(self.registry.root), self.name, workers),
         ) as pool:
             # imap preserves shard order while shards compute out of order,
             # so results stream to the caller as their turn comes up.

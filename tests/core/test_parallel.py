@@ -25,6 +25,7 @@ from repro.nn import Sequential, state_dict
 from repro.nn.flatbuf import FlatParameterBuffer
 from repro.nn.layers import Dense
 from repro.nn.optim import reference_optimizers
+from repro.utils.blas import blas_threads, thread_budget
 from repro.utils.faults import FaultError, FaultPlan
 
 DATA_SEED = 7
@@ -275,6 +276,22 @@ class TestWorkerCountInvariance:
         trainer, _ = run_training(2, config=tiny_config(epochs=1))
         # Children are reaped on the way out of train().
         assert trainer.worker_pids == []
+
+
+class TestBlasBudget:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_master_runs_on_budget_and_restores_its_count(self, workers):
+        before = blas_threads()
+        during = []
+        trainer = make_trainer(workers, config=tiny_config(epochs=1))
+        trainer.train(make_matrices(), rng=TRAIN_SEED,
+                      on_epoch_end=lambda *_: during.append(blas_threads()))
+        # A single process keeps the library default.
+        if workers > 1 and before is not None:
+            assert during == [min(before, thread_budget(workers))]
+        else:
+            assert during == [before]
+        assert blas_threads() == before
 
 
 @pytest.mark.slow

@@ -65,6 +65,23 @@ class TestSampling:
             )
 
 
+class TestChunkInvariance:
+    """Rows are bit-identical however the latents are cut into calls.
+
+    Blocks of 256k + 1 rows end in a one-row chunk, which BLAS would run
+    as a matrix-vector product with different float32 rounding.
+    """
+
+    @pytest.mark.parametrize("block", [1, 257, 513, 769, 1025])
+    def test_latent_blocks_match_one_call(self, sampler, block):
+        z = np.random.default_rng(8).uniform(-1.0, 1.0,
+                                             (2048, sampler.latent_dim))
+        whole = sampler.matrices_from_latents(z)
+        parts = np.concatenate([sampler.matrices_from_latents(z[i:i + block])
+                                for i in range(0, len(z), block)])
+        np.testing.assert_array_equal(parts, whole)
+
+
 class TestInferenceMode:
     """Sampling must run the generator in eval mode (BatchNorm running stats)."""
 

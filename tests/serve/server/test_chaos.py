@@ -208,6 +208,24 @@ class TestServerChaos:
         assert len(reply["rows"]) == 4
         assert client.health()["models"] == {"tiny": "ok"}
 
+    def test_failed_worker_pool_is_503_and_serves_after_reload(
+            self, populated_registry):
+        # Every forked worker inherits the armed plan and dies on its first
+        # block, so the pool fails after its crash streak.
+        plan = FaultPlan().arm("pool.block", times=None, exc=SystemExit(13))
+        with SynthesisServer(populated_registry, port=0, seed=SEED,
+                             server_workers=1) as running:
+            with SynthesisClient(port=running.port) as client:
+                with plan:
+                    with pytest.raises(ServerError) as excinfo:
+                        client.sample("tiny", 4)
+                assert excinfo.value.status == 503
+                assert excinfo.value.retry_after_s is not None
+                # The router evicts the dead pool; its replacement forks
+                # with the plan disarmed and serves.
+                reply = client.sample("tiny", 4)
+                assert len(reply["rows"]) == 4
+
     def test_deadline_expired_queued_request_gets_504(self, server, client):
         slow = threading.Thread(target=client.sample, args=("tiny", 8))
         with FaultPlan().arm("batcher.tick", "delay", delay_s=0.4, times=1):

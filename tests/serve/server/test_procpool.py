@@ -23,6 +23,7 @@ import pytest
 
 from repro.serve import SynthesisService
 from repro.serve.server import WorkerPoolError, WorkerPoolService
+from repro.utils.blas import blas_threads, thread_budget
 from repro.utils.faults import FaultPlan
 
 BATCH = 64
@@ -199,3 +200,84 @@ class TestShmHygiene:
         pool.close()
         pool.close()
         assert pool.health == "dead"
+
+
+class TestBoundedWaits:
+    def test_take_block_wait_is_bounded(self, populated_registry):
+        # Workers that never land a block must not hang the caller: the
+        # take fails the pool (a 503 over HTTP) once its wait runs out.
+        plan = FaultPlan().arm("pool.block", "delay", times=None,
+                               delay_s=1.0)
+        with plan:
+            pool = make_pool(populated_registry, workers=1,
+                             take_timeout_s=0.2)
+            try:
+                started = time.monotonic()
+                with pytest.raises(WorkerPoolError, match="waited"):
+                    pool.take_block([BATCH])
+                assert time.monotonic() - started < 0.9
+                assert pool.health == "dead"
+            finally:
+                pool.close()
+
+    def test_take_timeout_must_be_positive(self, populated_registry):
+        with pytest.raises(ValueError, match="take_timeout_s"):
+            make_pool(populated_registry, take_timeout_s=0)
+
+
+class TestBlasBudget:
+    def test_worker_info_reports_each_workers_blas_threads(
+            self, populated_registry):
+        parent = blas_threads()
+        expected = None if parent is None else min(parent, thread_budget(2))
+        pool = make_pool(populated_registry, workers=2)
+        try:
+            # Blocks 0 and 1 go to ranks 0 and 1, and each worker reports
+            # its budget before its first block.
+            pool.take_block([2 * BATCH])
+            assert pool.worker_info()["blas_threads"] == [expected, expected]
+        finally:
+            pool.close()
+        assert blas_threads() == parent  # the front end keeps its count
+
+
+@pytest.mark.chaos
+@pytest.mark.slow
+class TestKillAndContinue:
+    ITERATIONS = 200
+    ROWS = 48
+
+    def test_sigkill_loop_never_wedges_the_pool(self, populated_registry,
+                                                trained_gan):
+        # A worker killed while it writes a result must never silence the
+        # others: every iteration kills a random worker at a random moment
+        # of its block, and the stream must carry on bit for bit.
+        total = self.ITERATIONS * self.ROWS
+        expected = reference_stream(trained_gan, total, [total])[0]
+        rng = np.random.default_rng(11)
+        # Only this process's rings: the loop is long enough for another
+        # test process to create and drop its own meanwhile.
+        own = f"rpool{os.getpid()}_"
+        before = [name for name in shm_segments() if name.startswith(own)]
+        pool = make_pool(populated_registry, max_restarts=self.ITERATIONS,
+                         block_retries=self.ITERATIONS, take_timeout_s=30.0)
+        try:
+            for i in range(self.ITERATIONS):
+                pool.replenish()
+                time.sleep(rng.uniform(0.0, 0.003))
+                pids = pool.worker_info()["pids"]
+                if pids:
+                    try:
+                        os.kill(pids[rng.integers(len(pids))],
+                                signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+                (taken,), base = pool.take_block([self.ROWS])
+                assert base == i * self.ROWS
+                np.testing.assert_array_equal(
+                    taken, expected[base:base + self.ROWS])
+            assert pool.worker_info()["crashes"] >= self.ITERATIONS // 4
+        finally:
+            pool.close()
+        assert [name for name in shm_segments()
+                if name.startswith(own)] == before

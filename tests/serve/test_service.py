@@ -88,6 +88,18 @@ class TestPool:
         assert service.stats.generator_calls == calls
         assert service.stats.pool_hits == 3
 
+    def test_odd_top_up_serves_the_seeded_stream(self, trained_gan):
+        # 511 rows left of 1 024, so the top-up generates a 513-row block,
+        # whose last 256-row chunk is a single row.
+        service = SynthesisService(trained_gan, pool_size=1024, seed=4)
+        first, _ = service.take_block([513])
+        assert service.replenish() == 513
+        rest, _ = service.take_block([1024])
+        direct = SynthesisService(trained_gan, pool_size=2048, seed=4)
+        expected, _ = direct.take_block([1537])
+        np.testing.assert_array_equal(np.concatenate(first + rest),
+                                      expected[0])
+
     def test_pool_disabled_generates_exactly_what_is_needed(self, trained_gan):
         service = SynthesisService(trained_gan, pool_size=0, seed=1)
         service.sample_records(5)

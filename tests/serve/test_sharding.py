@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.serve import CsvSink, ShardedSampler, plan_shards
+from repro.serve.sharding import _worker_init
+from repro.utils.blas import blas_threads, limit_blas_threads, thread_budget
 
 
 class TestPlan:
@@ -43,6 +45,15 @@ class TestShardedSampler:
         three = sampler.sample_values(40, seed=7, workers=3)
         assert np.array_equal(inline, two)
         assert np.array_equal(inline, three)
+
+    def test_pool_workers_start_on_a_thread_budget(self, populated_registry):
+        before = blas_threads()
+        with limit_blas_threads(before or 1):  # restores the count after
+            _worker_init(str(populated_registry.root), "tiny", 2)
+            during = blas_threads()
+        if before is not None:
+            assert during == min(before, thread_budget(2))
+        assert blas_threads() == before
 
     def test_table_output_matches_registry_model(self, sampler,
                                                  populated_registry):
