@@ -942,13 +942,8 @@ def _telemetry_timings(workload: dict, repeats: int) -> dict:
         finally:
             batcher.close()
 
-    # Interleaved: a host speed change partway through then slows runs of
-    # both kinds, instead of reading as an armed/disarmed ratio.
-    disarmed, armed = [], []
-    for _ in range(repeats):
-        disarmed.append(run_submits(False))
-        armed.append(run_submits(True))
-    disarmed_s, armed_s = min(disarmed), min(armed)
+    disarmed_s = min(run_submits(False) for _ in range(repeats))
+    armed_s = min(run_submits(True) for _ in range(repeats))
     report["serving_requests"] = requests
     report["serving_request_rows"] = rows
     report["serving_disarmed_s"] = disarmed_s

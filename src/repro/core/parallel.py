@@ -79,7 +79,7 @@ from repro.core.trainer import EpochLosses, FeatureStats, TableGanTrainer, Train
 from repro.nn import Sequential
 from repro.nn.batchnorm import BatchNorm
 from repro.obs import trace
-from repro.utils.blas import cap_blas_threads, limit_blas_threads, thread_budget
+from repro.utils.blas import limit_blas_threads, thread_budget
 from repro.utils.faults import fault_point
 from repro.utils.rng import ensure_rng
 
@@ -305,9 +305,6 @@ def _worker_main(trainer: "ParallelTrainer", rank: int, shard_ids,
     memory, gradients are private copy-on-write scratch)."""
     round_id = -1
     try:
-        # Inherited from the budgeted master already; set it explicitly so
-        # the worker's share never depends on how it was started.
-        cap_blas_threads(thread_budget(trainer._n_procs))
         executor = _ShardExecutor(trainer, shard_ids, trainer._stats_view())
         while True:
             command = cmd_queue.get()
@@ -351,9 +348,10 @@ class ParallelTrainer(TableGanTrainer):
         declaring the round hung.  Dead workers are detected within a
         fraction of a second regardless.
 
-    With more than one process, every process (the master included)
-    runs BLAS on ``cores // processes`` threads for the duration of
-    :meth:`train`; the master's own count comes back afterwards.
+    With more than one process, the master runs BLAS on
+    ``cores // processes`` threads for the duration of :meth:`train`;
+    the workers fork inside it and inherit that count.  The master's own
+    count comes back afterwards.
     """
 
     def __init__(self, generator: Sequential, discriminator: Sequential,

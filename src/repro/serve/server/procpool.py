@@ -86,6 +86,10 @@ _SEGMENT_LOCK = threading.Lock()
 #: Held from a worker's fork until the parent closes its copy of the
 #: worker's result-pipe write end, so no other pool's fork inherits it.
 _SPAWN_LOCK = threading.Lock()
+#: Bound on one :meth:`WorkerPoolService.take_block`'s total wait for
+#: rows.  On expiry the pool fails with :class:`WorkerPoolError` (an HTTP
+#: 503), and the router replaces it on the next request.
+_TAKE_TIMEOUT_S = 60.0
 
 
 def _segment_name(tag: str) -> str:
@@ -264,10 +268,6 @@ class WorkerPoolService:
         As in the threaded service.  ``batch_rows`` doubles as the block
         size ``B``; the ring rounds ``pool_size`` up to whole blocks and
         at least ``workers + 2`` slots so every worker can generate ahead.
-    take_timeout_s:
-        Bound on one :meth:`take_block`'s total wait for rows.  On expiry
-        the pool fails with :class:`WorkerPoolError` (an HTTP 503), and
-        the router replaces it on the next request.
     """
 
     def __init__(self, registry, ref: str, *, workers: int = 2,
@@ -275,13 +275,9 @@ class WorkerPoolService:
                  start_method: str | None = None, trace_log=None,
                  metrics_registry=None, name: str | None = None,
                  max_restarts: int = 3, restart_backoff_s: float = 0.05,
-                 block_retries: int = 2, quality=None,
-                 take_timeout_s: float = 60.0):
+                 block_retries: int = 2, quality=None):
         if workers <= 0:
             raise ValueError(f"workers must be positive, got {workers}")
-        if take_timeout_s <= 0:
-            raise ValueError(
-                f"take_timeout_s must be positive, got {take_timeout_s}")
         if batch_rows <= 0:
             raise ValueError(f"batch_rows must be positive, got {batch_rows}")
         if pool_size < 0:
@@ -316,7 +312,6 @@ class WorkerPoolService:
         self.max_restarts = max_restarts
         self.restart_backoff_s = restart_backoff_s
         self.block_retries = block_retries
-        self.take_timeout_s = take_timeout_s
 
         # Shared rings: decoded rows (what responses serve) and the
         # centrally drawn latents (what makes re-generation bit-exact).
@@ -727,7 +722,7 @@ class WorkerPoolService:
         if any(c <= 0 for c in counts):
             raise ValueError(f"every request must be positive, got {counts}")
         total = sum(counts)
-        deadline = time.monotonic() + self.take_timeout_s
+        deadline = time.monotonic() + _TAKE_TIMEOUT_S
         with trace.span("service.take_block", rows=total,
                         requests=len(counts)):
             out = np.empty((total, self.n_features), dtype=np.float64)
@@ -754,7 +749,7 @@ class WorkerPoolService:
                         left = deadline - time.monotonic()
                         if left <= 0:
                             self._fail_locked(
-                                f"take_block waited {self.take_timeout_s:g}s "
+                                f"take_block waited {_TAKE_TIMEOUT_S:g}s "
                                 f"for stream rows {claim[0]}..{base + total}")
                             self._check_locked()
                         self._cond.wait(min(0.5, left))

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from repro.serve import SynthesisService
-from repro.serve.server import WorkerPoolError, WorkerPoolService
+from repro.serve.server import WorkerPoolError, WorkerPoolService, procpool
 from repro.utils.blas import blas_threads, thread_budget
 from repro.utils.faults import FaultPlan
 
@@ -203,14 +203,15 @@ class TestShmHygiene:
 
 
 class TestBoundedWaits:
-    def test_take_block_wait_is_bounded(self, populated_registry):
+    def test_take_block_wait_is_bounded(self, populated_registry,
+                                        monkeypatch):
         # Workers that never land a block must not hang the caller: the
         # take fails the pool (a 503 over HTTP) once its wait runs out.
+        monkeypatch.setattr(procpool, "_TAKE_TIMEOUT_S", 0.2)
         plan = FaultPlan().arm("pool.block", "delay", times=None,
                                delay_s=1.0)
         with plan:
-            pool = make_pool(populated_registry, workers=1,
-                             take_timeout_s=0.2)
+            pool = make_pool(populated_registry, workers=1)
             try:
                 started = time.monotonic()
                 with pytest.raises(WorkerPoolError, match="waited"):
@@ -219,10 +220,6 @@ class TestBoundedWaits:
                 assert pool.health == "dead"
             finally:
                 pool.close()
-
-    def test_take_timeout_must_be_positive(self, populated_registry):
-        with pytest.raises(ValueError, match="take_timeout_s"):
-            make_pool(populated_registry, take_timeout_s=0)
 
 
 class TestBlasBudget:
@@ -260,7 +257,7 @@ class TestKillAndContinue:
         own = f"rpool{os.getpid()}_"
         before = [name for name in shm_segments() if name.startswith(own)]
         pool = make_pool(populated_registry, max_restarts=self.ITERATIONS,
-                         block_retries=self.ITERATIONS, take_timeout_s=30.0)
+                         block_retries=self.ITERATIONS)
         try:
             for i in range(self.ITERATIONS):
                 pool.replenish()

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.serve import CsvSink, ShardedSampler, plan_shards
-from repro.serve.sharding import _worker_init
+from repro.serve import CsvSink, ShardedSampler, plan_shards, sharding
 from repro.utils.blas import blas_threads, limit_blas_threads, thread_budget
 
 
@@ -46,10 +45,14 @@ class TestShardedSampler:
         assert np.array_equal(inline, two)
         assert np.array_equal(inline, three)
 
-    def test_pool_workers_start_on_a_thread_budget(self, populated_registry):
+    def test_pool_workers_start_on_a_thread_budget(self, populated_registry,
+                                                   monkeypatch):
+        # The initializer caches the model module-wide; keep that cache
+        # local to this test.
+        monkeypatch.setattr(sharding, "_WORKER_MODEL", {})
         before = blas_threads()
         with limit_blas_threads(before or 1):  # restores the count after
-            _worker_init(str(populated_registry.root), "tiny", 2)
+            sharding._worker_init(str(populated_registry.root), "tiny", 2)
             during = blas_threads()
         if before is not None:
             assert during == min(before, thread_budget(2))
