@@ -6,7 +6,9 @@ port, hit ``/healthz`` and one ``/sample`` with the client library, then
 SIGTERM the server and assert it drains and exits cleanly (code 0).
 The same pass then repeats with ``--server-workers 2`` — the
 multi-process serving tier must boot, serve, and drain (including its
-worker processes and shared-memory segments) just as cleanly.
+worker processes and shared-memory segments) just as cleanly.  Each pass
+also takes one streamed CSV export above the stream threshold; the two
+tiers' export bodies must be byte-identical.
 
 Every wait is bounded, so a wedged server fails the job instead of
 hanging it.  Run from the repository root::
@@ -23,6 +25,8 @@ import threading
 import time
 
 TIMEOUT_S = 120
+#: Above the server's default 10 000-row stream threshold.
+EXPORT_ROWS = 12_000
 
 
 def fail(message: str) -> None:
@@ -62,8 +66,9 @@ def read_port(proc: subprocess.Popen) -> int:
     return result["port"]
 
 
-def run_pass(registry_dir: str, extra_args: list, label: str) -> None:
-    """Boot one server configuration, exercise it, drain it."""
+def run_pass(registry_dir: str, extra_args: list, label: str) -> str:
+    """Boot one server configuration, exercise it, drain it; returns the
+    streamed CSV export's body."""
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--registry",
          registry_dir, "--host", "127.0.0.1", "--port", "0", *extra_args],
@@ -84,37 +89,52 @@ def run_pass(registry_dir: str, extra_args: list, label: str) -> None:
                      f"offset={reply['offset']}")
             print(f"[{label}] sampled {len(reply['rows'])} rows x "
                   f"{len(reply['columns'])} columns from 'smoke'")
+            export = client.sample_csv("smoke", EXPORT_ROWS)
+            lines = export.count("\r\n")
+            if lines != EXPORT_ROWS + 1:
+                fail(f"[{label}] streamed export has {lines} lines, "
+                     f"expected {EXPORT_ROWS} rows plus a header")
+            print(f"[{label}] streamed a {EXPORT_ROWS}-row CSV export "
+                  f"({len(export)} bytes)")
 
         proc.send_signal(signal.SIGTERM)
         code = proc.wait(timeout=TIMEOUT_S)
         if code != 0:
             fail(f"[{label}] server exited with code {code} after SIGTERM")
         print(f"[{label}] server drained and exited cleanly")
+        check_shm_clean(proc.pid, label)
     finally:
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
             fail(f"[{label}] server had to be killed")
+    return export
 
 
-def check_shm_clean() -> None:
-    """No serving-pool shared-memory segments may outlive their server."""
+def check_shm_clean(pid: int, label: str) -> None:
+    """No serving-pool shared-memory segment of the server with ``pid``
+    may outlive it.  Segments are named ``rpool<pid>_<seq><tag>``, so
+    servers running beside this one do not count."""
     if not os.path.isdir("/dev/shm"):
         return  # non-POSIX-shm platform: nothing to check
     leaked = [name for name in os.listdir("/dev/shm")
-              if name.startswith("rpool")]
+              if name.startswith(f"rpool{pid}_")]
     if leaked:
-        fail(f"leaked shared-memory segments after drain: {leaked}")
-    print("no leaked shared-memory segments")
+        fail(f"[{label}] leaked shared-memory segments after drain: {leaked}")
+    print(f"[{label}] no leaked shared-memory segments")
 
 
 def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         registry_dir = os.path.join(tmp, "registry")
         train_and_register(registry_dir)
-        run_pass(registry_dir, [], "threaded")
-        run_pass(registry_dir, ["--server-workers", "2"], "workers=2")
-        check_shm_clean()
+        threaded = run_pass(registry_dir, [], "threaded")
+        pooled = run_pass(registry_dir, ["--server-workers", "2"],
+                          "workers=2")
+        if pooled != threaded:
+            fail("the streamed CSV export differs between the threaded "
+                 "and the --server-workers 2 tier")
+        print("streamed CSV exports are byte-identical across tiers")
     print("SMOKE PASSED")
 
 

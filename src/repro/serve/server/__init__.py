@@ -19,17 +19,20 @@ client over HTTP/1.1 — stdlib only, so it runs anywhere the library does:
 * :mod:`~repro.serve.server.procpool` — :class:`WorkerPoolService`:
   the multi-process serving tier (``--server-workers N``): per-core
   model worker processes generating into a shared-memory sample ring,
-  served zero-copy by the threaded front end, bit-identical to the
-  in-process service;
+  and rendering its response text there, served as byte slices by the
+  threaded front end, bit-identical to the in-process service;
 * :mod:`~repro.serve.server.client` — :class:`SynthesisClient`: the
-  stdlib client library (and the benchmark's load-generator transport);
-* :mod:`~repro.serve.server.metrics` — :class:`LatencyHistogram` behind
-  ``GET /metrics``.
+  stdlib client library (and the benchmark's load-generator transport).
+
+Per-model latency histograms (:class:`~repro.obs.metrics.LatencyHistogram`,
+re-exported here) come from :mod:`repro.obs.metrics`, behind
+``GET /metrics``.
 
 CLI: ``python -m repro serve --registry model-registry --port 8000``
 (graceful drain on SIGTERM/SIGINT).
 """
 
+from repro.obs.metrics import LatencyHistogram
 from repro.serve.server.batcher import (
     BatcherClosed,
     BatcherDead,
@@ -49,7 +52,6 @@ from repro.serve.server.client import (
     SynthesisClient,
 )
 from repro.serve.server.http import SynthesisServer
-from repro.serve.server.metrics import LatencyHistogram
 from repro.serve.server.procpool import WorkerPoolError, WorkerPoolService
 from repro.serve.server.router import (
     ModelRouter,

@@ -77,8 +77,6 @@ import threading
 import time
 from collections import deque
 
-import numpy as np
-
 from repro.obs import metrics as obs_metrics
 from repro.obs import trace
 from repro.utils.faults import fault_point
@@ -148,13 +146,15 @@ class _PendingSlice:
     """
 
     __slots__ = ("n", "event", "values", "offset", "error", "deadline",
-                 "strikes", "ctx", "admitted_at", "priority", "client")
+                 "strikes", "ctx", "admitted_at", "priority", "client", "fmt")
 
     def __init__(self, n: int, deadline: float | None = None,
-                 priority: int = 0, client: str | None = None):
+                 priority: int = 0, client: str | None = None,
+                 fmt: str | None = None):
         self.n = n
+        self.fmt = fmt
         self.event = threading.Event()
-        self.values: np.ndarray | None = None
+        self.values = None
         self.offset: int | None = None
         self.error: BaseException | None = None
         self.deadline = deadline
@@ -178,12 +178,13 @@ class _PendingStream:
     """
 
     __slots__ = ("n", "chunk_rows", "chunks", "cancelled", "deadline",
-                 "ctx", "admitted_at", "priority", "client")
+                 "ctx", "admitted_at", "priority", "client", "fmt")
 
     def __init__(self, n: int, chunk_rows: int, maxsize: int = 2,
                  deadline: float | None = None, priority: int = 0,
-                 client: str | None = None):
+                 client: str | None = None, fmt: str | None = None):
         self.n = n
+        self.fmt = fmt
         self.chunk_rows = chunk_rows
         self.chunks: queue.Queue = queue.Queue(maxsize=maxsize)
         self.cancelled = threading.Event()
@@ -362,6 +363,10 @@ class CoalescingBatcher:
         if client_quota is not None and client_quota < 1:
             raise ValueError(f"client_quota must be positive, got {client_quota}")
         self.service = service
+        # A service that renders response text itself (the worker pool)
+        # hands back the text of each request's ``fmt`` in place of its
+        # values, so handlers only pass bytes on.
+        self._renders_text = getattr(service, "renders_text", False)
         self.max_queue_depth = max_queue_depth
         self.coalesce = coalesce
         self.max_restarts = max_restarts
@@ -469,6 +474,13 @@ class CoalescingBatcher:
         """Admission→pop wait histogram (count/percentiles, JSON-ready)."""
         return self._m_queue_wait.summary()
 
+    def _take_block(self, counts, formats):
+        """The service's take_block, asking for rendered text when the
+        service renders it and every request named its format."""
+        if self._renders_text and None not in formats:
+            return self.service.take_block(counts, formats=formats)
+        return self.service.take_block(counts)
+
     def _check_accepting(self) -> None:
         if self._dead:
             raise BatcherDead(
@@ -507,13 +519,16 @@ class CoalescingBatcher:
             self._cond.notify()
 
     def submit(self, n: int, deadline: float | None = None,
-               priority: int = 0,
-               client: str | None = None) -> tuple[np.ndarray, int]:
+               priority: int = 0, client: str | None = None,
+               fmt: str | None = None):
         """Queue a request for ``n`` rows; block until served.
 
         Returns ``(values, offset)``: the decoded rows and their offset in
-        the service's record stream.  Raises :class:`QueueSaturated` when
-        admission control rejects the request, :class:`QuotaExceeded`
+        the service's record stream.  With ``fmt`` (``"csv"`` or
+        ``"json"``) a text-rendering service returns the rows' CSV lines
+        or newline-ended JSON rows in place of values.  Raises
+        :class:`QueueSaturated` when admission control rejects the
+        request, :class:`QuotaExceeded`
         when ``client`` is over its per-client quota, :class:`BatcherClosed`
         after shutdown, :class:`BatcherDead` once the worker's restart
         budget is exhausted, and :class:`DeadlineExceeded` when
@@ -555,7 +570,10 @@ class CoalescingBatcher:
                 # outcomes apart); the service's take_pooled span nests
                 # under it.
                 with trace.span("batcher", fast_path=True) as sp:
-                    hit = self.service.take_pooled(n)
+                    if self._renders_text and fmt is not None:
+                        hit = self.service.take_pooled(n, fmt=fmt)
+                    else:
+                        hit = self.service.take_pooled(n)
                     sp.set(hit=hit is not None)
                 if hit is not None:
                     if self.service.pooled_rows * 2 < self.service.pool_size:
@@ -564,7 +582,7 @@ class CoalescingBatcher:
                         self._cond.notify()
                     return hit
         pending = _PendingSlice(n, deadline, priority=priority,
-                                client=client)
+                                client=client, fmt=fmt)
         self._admit(pending)
         pending.event.wait()
         if pending.error is not None:
@@ -573,7 +591,8 @@ class CoalescingBatcher:
 
     def submit_stream(self, n: int, chunk_rows: int,
                       deadline: float | None = None, priority: int = 0,
-                      client: str | None = None) -> _PendingStream:
+                      client: str | None = None,
+                      fmt: str | None = None) -> _PendingStream:
         """Queue a large export served as bounded-memory chunks.
 
         Returns the pending stream; iterate it for ``(values, offset)``
@@ -581,7 +600,8 @@ class CoalescingBatcher:
         worker until it completes, so its rows form one contiguous stream
         slice exactly like a small response.  ``deadline`` is checked
         before every chunk: an expired stream fails mid-body rather than
-        generating rows nobody will read.
+        generating rows nobody will read.  ``fmt`` is as in
+        :meth:`submit`.
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
@@ -590,7 +610,7 @@ class CoalescingBatcher:
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded("request deadline expired before admission")
         pending = _PendingStream(n, chunk_rows, deadline=deadline,
-                                 priority=priority, client=client)
+                                 priority=priority, client=client, fmt=fmt)
         self._admit(pending)
         return pending
 
@@ -845,7 +865,8 @@ class CoalescingBatcher:
             with trace.attach(batch[0].ctx):
                 with trace.span("batcher", coalesced=len(batch),
                                 rows=int(sum(counts))):
-                    values, base = self.service.take_block(counts)
+                    values, base = self._take_block(
+                        counts, [p.fmt for p in batch])
             for pending in batch[1:]:
                 if pending.ctx is not None:
                     trace.emit("batcher", popped, parent=pending.ctx,
@@ -902,7 +923,7 @@ class CoalescingBatcher:
                 return
             try:
                 rows = min(stream.chunk_rows, remaining)
-                values, base = self.service.take_block([rows])
+                values, base = self._take_block([rows], [stream.fmt])
             except Exception as exc:  # noqa: BLE001 — per-request error path
                 hand_over(("error", exc, None))
                 return

@@ -64,8 +64,6 @@ the batcher workers.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import sys
 import threading
@@ -75,8 +73,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 import numpy as np
 
-from repro.data.io import decoded_rows
-from repro.data.table import Table
+from repro.data.io import json_array
 from repro.obs import trace
 from repro.serve.registry import CorruptArtifactError, RegistryError
 from repro.serve.server.batcher import (
@@ -118,18 +115,17 @@ def _json_bytes(payload) -> bytes:
                        separators=(",", ":")) + "\n").encode("utf-8")
 
 
-def _csv_bytes(rows) -> bytes:
-    buffer = io.StringIO()
-    csv.writer(buffer).writerows(rows)
-    return buffer.getvalue().encode("utf-8")
+def _rows_text(entry, block, fmt: str) -> bytes:
+    """CSV lines or newline-ended JSON rows of one served block.
 
-
-def _ndjson_bytes(rows) -> bytes:
-    return b"".join(
-        json.dumps(row, default=_json_default,
-                   separators=(",", ":")).encode("utf-8") + b"\n"
-        for row in rows
-    )
+    The worker pool hands over text its workers rendered; a value block
+    (the threaded tier) is rendered here.
+    """
+    if isinstance(block, bytes):
+        return block
+    if fmt == "csv":
+        return entry.renderer.csv(block)
+    return entry.renderer.ndjson(block)
 
 
 class _SynthesisHTTPServer(ThreadingHTTPServer):
@@ -524,29 +520,25 @@ class _Handler(BaseHTTPRequestHandler):
                       trace_id: str | None = None,
                       priority: int = 0, client: str | None = None):
         entry, (values, offset) = self._submit(ref, "submit", n, deadline,
-                                               priority, client)
-        schema = entry.service.schema
-        table = Table(values, schema)
+                                               priority, client, fmt)
         headers = {"X-Stream-Offset": offset, "X-Row-Count": n}
         if trace_id is not None:
             headers["X-Trace-Id"] = trace_id
         render_started = time.perf_counter()
         with trace.span("render", fmt=fmt, rows=n):
             if fmt == "csv":
-                body = _csv_bytes([list(schema.names), *decoded_rows(table)])
+                body = entry.renderer.header + _rows_text(entry, values, fmt)
                 content_type = "text/csv; charset=utf-8"
             else:
                 # Hand-assembled but byte-identical to _json_bytes of the
                 # equivalent dict: the model/columns fragments are request-
                 # invariant (pre-rendered on the entry), so the hot path
                 # only serializes the rows.
-                rows_json = json.dumps(decoded_rows(table),
-                                       default=_json_default,
-                                       separators=(",", ":"))
                 body = (
                     f'{{"model":{entry.ref_json},"n":{n},"offset":{offset},'
-                    f'"columns":{entry.columns_json},"rows":{rows_json}}}\n'
-                ).encode("utf-8")
+                    f'"columns":{entry.columns_json},"rows":'.encode("utf-8")
+                    + json_array(_rows_text(entry, values, fmt)) + b"}\n"
+                )
                 content_type = "application/json; charset=utf-8"
         self.app.observe_render(time.perf_counter() - render_started)
         self._send_body(200, body, content_type, headers)
@@ -565,8 +557,7 @@ class _Handler(BaseHTTPRequestHandler):
         """
         entry, stream = self._submit(ref, "submit_stream", n,
                                      self.app.stream_chunk_rows, deadline,
-                                     priority, client)
-        schema = entry.service.schema
+                                     priority, client, fmt)
         chunks = iter(stream)
         try:
             try:
@@ -609,10 +600,10 @@ class _Handler(BaseHTTPRequestHandler):
             # fall through to a second HTTP response written mid-body.
             try:
                 if fmt == "csv":
-                    self._write_chunk(_csv_bytes([list(schema.names)]))
-                self._write_rows(schema, fmt, first_values)
+                    self._write_chunk(entry.renderer.header)
+                self._write_rows(entry, fmt, first_values)
                 for values, _offset in chunks:
-                    self._write_rows(schema, fmt, values)
+                    self._write_rows(entry, fmt, values)
                 self.wfile.write(b"0\r\n\r\n")
             except (BrokenPipeError, ConnectionResetError):
                 self.close_connection = True
@@ -626,10 +617,9 @@ class _Handler(BaseHTTPRequestHandler):
             stream.cancel()
         return entry
 
-    def _write_rows(self, schema, fmt: str, values) -> None:
+    def _write_rows(self, entry, fmt: str, values) -> None:
         render_started = time.perf_counter()
-        rows = decoded_rows(Table(values, schema))
-        data = _csv_bytes(rows) if fmt == "csv" else _ndjson_bytes(rows)
+        data = _rows_text(entry, values, fmt)
         self.app.observe_render(time.perf_counter() - render_started)
         self._write_chunk(data)
 
@@ -764,7 +754,8 @@ class SynthesisServer:
         )
         self._m_render = self.metrics_registry.histogram(
             "http_render_seconds",
-            "Response-body render time (row decode + serialization)",
+            "Response-body render time (row decode + serialization; "
+            "slicing for worker-rendered text)",
         ).labels()
         self._g_uptime = self.metrics_registry.gauge(
             "server_uptime_seconds", "Seconds since the server started",

@@ -14,7 +14,12 @@ worker process per core** while keeping every serving contract intact:
   claims serialize under the front end's pool lock exactly as before;
 * pooled rows are produced once and served **zero-copy**: decoded rows
   live in a ``multiprocessing.shared_memory`` ring and pool hits return
-  read-only views of it.
+  read-only views of it;
+* response text is rendered once, by the worker: beside the decoded ring
+  a text ring holds each block's CSV lines and JSON rows
+  (:class:`~repro.data.io.RowRenderer`) with per-row byte offsets, so a
+  take that names each request's format hands the front end copied byte
+  slices and the HTTP handler formats nothing.
 
 Dataflow::
 
@@ -23,7 +28,12 @@ Dataflow::
     rng ──draw z for block k──▶ latent ring ──▶ load model from registry
     task queue (k, trace ctx) ─────────────▶    records_from_latents
     decoded ring ◀──────write slot k % S────    codec.decode
+    text ring    ◀──────write slot k % S────    RowRenderer.render_into
     result pipe  ◀──("done", rank, k, …)───     (own pipes per worker)
+
+A worker reports ``"done"`` only after both rings hold block ``k``; text
+never crosses the result pipe (a block's text is many pipe buffers
+long, so sending it would block the worker on the collector).
 
 The ring holds ``S`` blocks of ``B = batch_rows`` rows; block ``k`` lives
 in slot ``k % S``, so stream row ``r`` sits at ring row ``r % (S*B)``.  A
@@ -55,15 +65,18 @@ share the cores instead of each running a full-width thread team.
 
 from __future__ import annotations
 
+import bisect
 import os
 import threading
 import time
 import weakref
+from itertools import accumulate
 from multiprocessing import get_context, shared_memory
 from multiprocessing.connection import wait
 
 import numpy as np
 
+from repro.data.io import RowRenderer
 from repro.data.schema import TableSchema
 from repro.data.table import Table
 from repro.obs import trace
@@ -141,10 +154,57 @@ def _unlink_quietly(shm: shared_memory.SharedMemory) -> None:
         pass
 
 
+class _TextRing:
+    """Views of the rendered-text ring (segment tag ``t``).
+
+    Slot ``s`` holds the text of the block living in decoded-ring slot
+    ``s``: its CSV lines in ``B`` times the schema's widest CSV row, its
+    JSON rows likewise, and for each format ``B + 1`` byte offsets (row
+    ``i`` spans ``offsets[i]:offsets[i + 1]``).
+    """
+
+    #: Format name (as in a sample request) → index of its text region.
+    FORMATS = {"csv": 0, "json": 1}
+
+    def __init__(self, buf, slots: int, block_rows: int,
+                 renderer: RowRenderer):
+        self.renderer = renderer
+        n_offsets = slots * 2 * (block_rows + 1)
+        self.offsets = np.frombuffer(buf, dtype=np.int64, count=n_offsets
+                                     ).reshape(slots, 2, block_rows + 1)
+        pos = n_offsets * 8
+        self.text = []
+        for width in (renderer.max_csv_row_bytes,
+                      renderer.max_json_row_bytes):
+            count = slots * block_rows * width
+            self.text.append(np.frombuffer(
+                buf, dtype=np.uint8, count=count, offset=pos,
+            ).reshape(slots, block_rows * width))
+            pos += count
+
+    @staticmethod
+    def nbytes(slots: int, block_rows: int, renderer: RowRenderer) -> int:
+        return slots * (2 * (block_rows + 1) * 8 + block_rows * (
+            renderer.max_csv_row_bytes + renderer.max_json_row_bytes))
+
+    def render(self, slot: int, values: np.ndarray) -> None:
+        self.renderer.render_into(values, self.text[0][slot],
+                                  self.offsets[slot, 0], self.text[1][slot],
+                                  self.offsets[slot, 1])
+
+    def copy(self, slot: int, fmt: str, lo: int, hi: int) -> bytes:
+        """A copy of the ``fmt`` text of rows ``[lo, hi)`` of the block in
+        ``slot``."""
+        f = self.FORMATS[fmt]
+        offsets = self.offsets[slot, f]
+        return self.text[f][slot, offsets[lo]:offsets[hi]].tobytes()
+
+
 def _pool_worker_main(rank, workers, registry_root, ref, dec_name, lat_name,
-                      slots, block_rows, batch_rows, n_features, latent_dim,
-                      task_q, result_conn, trace_log, quality_cfg=None):
-    """One model worker: drain ``task_q``, generate blocks into the ring.
+                      txt_name, schema, slots, block_rows, batch_rows,
+                      n_features, latent_dim, task_q, result_conn, trace_log,
+                      quality_cfg=None):
+    """One model worker: drain ``task_q``, generate blocks into the rings.
 
     Module-level (spawn-picklable).  Loads its own copy of the model from
     the registry, so the parent never holds generator weights in the
@@ -173,6 +233,8 @@ def _pool_worker_main(rank, workers, registry_root, ref, dec_name, lat_name,
         return  # the pool closed while this worker started
     dec_shm = _attach_segment(dec_name)
     lat_shm = _attach_segment(lat_name)
+    txt_shm = _attach_segment(txt_name)
+    dec = lat = text = None
     try:
         dec = np.frombuffer(
             dec_shm.buf, dtype=np.float64,
@@ -182,6 +244,7 @@ def _pool_worker_main(rank, workers, registry_root, ref, dec_name, lat_name,
             lat_shm.buf, dtype=np.float64,
             count=slots * block_rows * latent_dim,
         ).reshape(slots, block_rows, latent_dim)
+        text = _TextRing(txt_shm.buf, slots, block_rows, RowRenderer(schema))
         from repro.serve.registry import ModelRegistry
         try:
             model = ModelRegistry(registry_root).load(ref)
@@ -214,7 +277,10 @@ def _pool_worker_main(rank, workers, registry_root, ref, dec_name, lat_name,
                     with trace.span("worker.decode", block=k, rank=rank):
                         decoded = sampler.codec.decode(encoded).values
                     t2 = time.perf_counter()
-                dec[slot * block_rows:(slot + 1) * block_rows] = decoded
+                    dec[slot * block_rows:(slot + 1) * block_rows] = decoded
+                    with trace.span("worker.render", block=k, rank=rank):
+                        text.render(slot, decoded)
+                    t3 = time.perf_counter()
                 sketch = None
                 if quality_cfg is not None:
                     # Observe-only quality sketch; isolated so a broken
@@ -228,19 +294,19 @@ def _pool_worker_main(rank, workers, registry_root, ref, dec_name, lat_name,
                         sketch = sk.to_payload(arrays=True)
                     except BaseException:
                         sketch = None
-                result = ("done", rank, k, t1 - t0, t2 - t1, sketch)
+                result = ("done", rank, k, t1 - t0, t2 - t1, t3 - t2, sketch)
             except Exception as exc:
                 result = ("error", rank, k, f"{type(exc).__name__}: {exc}")
             result_conn.send(result)
     except OSError:
         pass  # the front end closed this worker's pipe: the pool is closing
     finally:
-        del dec, lat
-        try:
-            dec_shm.close()
-            lat_shm.close()
-        except (BufferError, UnboundLocalError):
-            pass
+        dec = lat = text = None  # views must go before their segments
+        for shm in (dec_shm, lat_shm, txt_shm):
+            try:
+                shm.close()
+            except BufferError:
+                pass
         if trace_log:
             trace.disarm()
 
@@ -269,6 +335,10 @@ class WorkerPoolService:
         size ``B``; the ring rounds ``pool_size`` up to whole blocks and
         at least ``workers + 2`` slots so every worker can generate ahead.
     """
+
+    #: ``take_block(counts, formats=...)`` and ``take_pooled(n, fmt=...)``
+    #: return the workers' rendered text in place of values.
+    renders_text = True
 
     def __init__(self, registry, ref: str, *, workers: int = 2,
                  pool_size: int = 1024, batch_rows: int = 2048, seed=None,
@@ -313,12 +383,17 @@ class WorkerPoolService:
         self.restart_backoff_s = restart_backoff_s
         self.block_retries = block_retries
 
-        # Shared rings: decoded rows (what responses serve) and the
-        # centrally drawn latents (what makes re-generation bit-exact).
+        # Shared rings: decoded rows, their rendered text (what responses
+        # serve) and the centrally drawn latents (what makes
+        # re-generation bit-exact).
         self._dec_shm = _create_segment(
             "d", self._ring_rows * self.n_features * 8)
         self._lat_shm = _create_segment(
             "z", self._ring_rows * self.latent_dim * 8)
+        renderer = RowRenderer(self._schema)
+        self._txt_shm = _create_segment(
+            "t", _TextRing.nbytes(self._S, self._B, renderer))
+        self._text = _TextRing(self._txt_shm.buf, self._S, self._B, renderer)
         self._dec = np.frombuffer(
             self._dec_shm.buf, dtype=np.float64,
             count=self._ring_rows * self.n_features,
@@ -404,9 +479,10 @@ class WorkerPoolService:
         proc = self._ctx.Process(
             target=_pool_worker_main,
             args=(rank, self.workers, self._registry_root, self.ref,
-                  self._dec_shm.name, self._lat_shm.name, self._S, self._B,
-                  self.batch_rows, self.n_features, self.latent_dim, q,
-                  writer, self._trace_log, self._quality_cfg),
+                  self._dec_shm.name, self._lat_shm.name, self._txt_shm.name,
+                  self._schema, self._S, self._B, self.batch_rows,
+                  self.n_features, self.latent_dim, q, writer,
+                  self._trace_log, self._quality_cfg),
             name=f"pool-{self.name}-{rank}", daemon=True)
         # Forks are serialized and the parent drops its write end at once,
         # so the worker holds the only one: its death reads as EOF.
@@ -484,7 +560,7 @@ class WorkerPoolService:
             _, rank, threads = msg
             self.worker_blas_threads[rank] = threads
         elif kind == "done":
-            _, rank, k, gen_s, dec_s, sketch = msg
+            _, rank, k, gen_s, dec_s, render_s, sketch = msg
             with self._cond:
                 self._assigned[rank].discard(k)
                 already = (k < self._ready_mark or k in self._ready_blocks)
@@ -499,6 +575,7 @@ class WorkerPoolService:
                     self.stats.generator_calls += 1
                     self.profile.add("generate", gen_s)
                     self.profile.add("decode", dec_s)
+                    self.profile.add("render", render_s)
                     if self.quality is not None:
                         # Fold exactly once per stream block (the dedup
                         # above covers re-tasked duplicates); the monitor
@@ -706,14 +783,37 @@ class WorkerPoolService:
             out[cursor - base:cursor - base + chunk] = self._dec[o:o + chunk]
             cursor += chunk
 
-    def take_block(self, counts) -> tuple[list[np.ndarray], int]:
+    def _copy_text_locked(self, parts, ends, formats, lo: int,
+                          hi: int) -> None:
+        """Copy the text of stream rows [lo, hi) out of the text ring.
+
+        A block at a time: each piece is one block's rows of one request
+        (``ends`` holds each request's end row), in that request's format,
+        appended to its ``parts``.
+        """
+        i = bisect.bisect_right(ends, lo)
+        cursor = lo
+        while cursor < hi:
+            k, a = divmod(cursor, self._B)
+            stop = min(hi, (k + 1) * self._B, ends[i])
+            parts[i].append(self._text.copy(k % self._S, formats[i], a,
+                                            stop - k * self._B))
+            cursor = stop
+            if cursor == ends[i]:
+                i += 1
+
+    def take_block(self, counts, formats=None):
         """Decoded value blocks for a request batch, plus stream offset.
 
         Claims the next ``sum(counts)`` stream rows atomically (so the
         batch is contiguous and in admission order), then copies rows out
         of the ring as workers land them.  Copies happen under the pool
         lock and the claim registers a pending-copy range, so a slot can
-        never be recycled under a reader.
+        never be recycled under a reader.  ``formats`` (``"csv"`` or
+        ``"json"`` per request) asks for the workers' rendered text
+        instead: each block is then that request's CSV lines or
+        newline-ended JSON rows, copied under the same claim, a ring block
+        at a time.
         """
         counts = [int(c) for c in counts]
         if not counts:
@@ -725,13 +825,17 @@ class WorkerPoolService:
         deadline = time.monotonic() + _TAKE_TIMEOUT_S
         with trace.span("service.take_block", rows=total,
                         requests=len(counts)):
-            out = np.empty((total, self.n_features), dtype=np.float64)
+            if formats is not None:
+                parts = [[] for _ in counts]
+            else:
+                out = np.empty((total, self.n_features), dtype=np.float64)
             with self._cond:
                 self._check_locked()
                 base = self._head
                 self._head += total
                 self.stats.requests += len(counts)
                 self.stats.rows_served += total
+                ends = list(accumulate(counts, initial=base))[1:]
                 claim = [base, base + total]
                 self._pending_copies.append(claim)
                 try:
@@ -739,7 +843,12 @@ class WorkerPoolService:
                     while claim[0] < base + total:
                         avail = min(self._ready_mark * self._B, base + total)
                         if avail > claim[0]:
-                            self._copy_rows_locked(out, base, claim[0], avail)
+                            if formats is not None:
+                                self._copy_text_locked(parts, ends, formats,
+                                                       claim[0], avail)
+                            else:
+                                self._copy_rows_locked(out, base, claim[0],
+                                                       avail)
                             claim[0] = avail
                             # Copied rows may free slots for the pump.
                             self._pump_locked()
@@ -756,18 +865,22 @@ class WorkerPoolService:
                 finally:
                     self._pending_copies.remove(claim)
                     self._cond.notify_all()
+        if formats is not None:
+            return [b"".join(p) for p in parts], base
         offsets = np.cumsum(counts[:-1])
         return list(np.split(out, offsets, axis=0)), base
 
-    def take_pooled(self, n: int) -> tuple[np.ndarray, int] | None:
+    def take_pooled(self, n: int, fmt: str | None = None):
         """The next ``n`` decoded rows IF already pooled — zero-copy.
 
         Returns a **read-only view** of the shared ring when the claimed
         range is contiguous in ring memory; the overlapped slots are
         leased until the view is garbage collected, so the rows cannot be
         overwritten while a handler renders them.  A range that wraps the
-        ring end is served as a copy (still a pool hit).  Returns ``None``
-        when the rows are not pooled yet — this path never waits.
+        ring end is served as a copy (still a pool hit).  With ``fmt``
+        (``"csv"`` or ``"json"``) the rows come as a copy of their rendered
+        text instead (no lease).  Returns ``None`` when the rows are not
+        pooled yet — this path never waits.
         """
         if n <= 0:
             raise ValueError(f"n must be positive, got {n}")
@@ -779,7 +892,12 @@ class WorkerPoolService:
                     return None
                 base = self._head
                 o = base % self._ring_rows
-                if o + n <= self._ring_rows:
+                if fmt is not None:
+                    parts = [[]]
+                    self._copy_text_locked(parts, [base + n], [fmt], base,
+                                           base + n)
+                    values = b"".join(parts[0])
+                elif o + n <= self._ring_rows:
                     values = self._dec[o:o + n]
                     values.setflags(write=False)
                     slots = tuple(range(o // self._B,
@@ -869,10 +987,9 @@ class WorkerPoolService:
             self._g_alive.set(0)
         # Drop our ring views before unlinking so close() can succeed
         # whenever no response views remain.
-        self._dec = None
-        self._lat = None
-        _unlink_quietly(self._dec_shm)
-        _unlink_quietly(self._lat_shm)
+        self._dec = self._lat = self._text = None
+        for shm in (self._dec_shm, self._lat_shm, self._txt_shm):
+            _unlink_quietly(shm)
 
     def __del__(self):  # last-resort hygiene; close() is the real path
         try:

@@ -30,11 +30,12 @@ import time
 from collections import OrderedDict
 
 from repro.core.tablegan import TableGAN
+from repro.data.io import RowRenderer
 from repro.obs import metrics as obs_metrics
+from repro.obs.metrics import LatencyHistogram
 from repro.serve.quality import STATUS_CODES, QualityMonitor
 from repro.serve.registry import ModelRegistry
 from repro.serve.server.batcher import CoalescingBatcher
-from repro.serve.server.metrics import LatencyHistogram
 from repro.serve.server.procpool import WorkerPoolService
 from repro.serve.service import SynthesisService
 
@@ -52,11 +53,13 @@ class ModelEntry:
 
     ``ref_json``/``columns_json`` are the request-invariant fragments of
     every sample response, rendered once here so the handler's hot path
-    only serializes the rows.
+    only serializes the rows; ``renderer`` renders those rows when the
+    service hands back values rather than text.
     """
 
     __slots__ = ("ref", "service", "batcher", "latency", "est_bytes",
-                 "loaded_at", "ref_json", "columns_json", "quality")
+                 "loaded_at", "ref_json", "columns_json", "renderer",
+                 "quality")
 
     def __init__(self, ref: str, service,
                  batcher: CoalescingBatcher, est_bytes: int, quality=None):
@@ -69,6 +72,7 @@ class ModelEntry:
         self.ref_json = json.dumps(ref)
         self.columns_json = json.dumps(list(service.schema.names),
                                        separators=(",", ":"))
+        self.renderer = RowRenderer(service.schema)
         self.quality = quality
 
     @property

@@ -10,8 +10,9 @@ and the destination is never touched — a crashed million-row export leaves
 no half-written file behind.
 
 * :class:`CsvSink` — schema-aware CSV with categorical codes decoded to
-  their vocabulary strings, row format shared with
-  :func:`repro.data.io.write_csv` via ``iter_decoded_rows``.
+  their vocabulary strings, rendered by the
+  :class:`~repro.data.io.RowRenderer` that :func:`repro.data.io.write_csv`
+  and the HTTP server use too.
 * :class:`NpzSink` — a ``np.load``-compatible ``.npz`` archive written
   incrementally: each chunk becomes one ``chunk_NNNNN`` member (plus a
   ``columns`` member), so neither writer nor reader ever needs the full
@@ -20,13 +21,12 @@ no half-written file behind.
 
 from __future__ import annotations
 
-import csv
 import os
 import zipfile
 
 import numpy as np
 
-from repro.data.io import iter_decoded_rows
+from repro.data.io import RowRenderer
 from repro.data.schema import TableSchema
 from repro.data.table import Table
 from repro.utils.faults import fault_point
@@ -86,9 +86,9 @@ class CsvSink(_AtomicSink):
     def __init__(self, path, schema: TableSchema):
         super().__init__(path)
         self.schema = schema
-        self._handle = open(self._tmp, "w", newline="")
-        self._writer = csv.writer(self._handle)
-        self._writer.writerow(schema.names)
+        self._renderer = RowRenderer(schema)
+        self._handle = open(self._tmp, "wb")
+        self._handle.write(self._renderer.header)
 
     def write(self, values) -> int:
         """Write one chunk (a value matrix or a Table); returns its row count."""
@@ -102,7 +102,9 @@ class CsvSink(_AtomicSink):
         )
         if table.schema is not self.schema and table.schema != self.schema:
             raise ValueError("chunk schema does not match the sink schema")
-        self._writer.writerows(iter_decoded_rows(table))
+        for text, _, _, _ in self._renderer.render(table.values,
+                                                   with_json=False):
+            self._handle.write(text)
         self.rows_written += table.n_rows
         return table.n_rows
 

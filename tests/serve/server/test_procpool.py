@@ -5,8 +5,8 @@ The contract under test is the PR 9 tentpole: a
 shared-memory ring must be **byte-identical** to the in-process
 :class:`SynthesisService` for the same seeded stream — across worker
 counts, across crash/retry recovery, and on both the block (generate)
-and pooled (zero-copy fast) paths — while leaving no shared-memory
-segments behind when it closes.
+and pooled (zero-copy fast) paths, and in the response text its workers
+render — while leaving no shared-memory segments behind when it closes.
 
 Small batch geometry everywhere: the ring wraps several times per test,
 so slot recycling (the part that could silently corrupt the stream) is
@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.data.io import RowRenderer
 from repro.serve import SynthesisService
 from repro.serve.server import WorkerPoolError, WorkerPoolService, procpool
 from repro.utils.blas import blas_threads, thread_budget
@@ -51,10 +52,19 @@ def drain_blocks(pool, counts):
 
 
 def shm_segments():
+    """This process's pool segments (``rpool<pid>_<seq><tag>``): another
+    test process or server may create and drop its own meanwhile."""
     if not os.path.isdir("/dev/shm"):
         pytest.skip("no /dev/shm on this platform")
+    own = f"rpool{os.getpid()}_"
     return sorted(name for name in os.listdir("/dev/shm")
-                  if name.startswith("rpool"))
+                  if name.startswith(own))
+
+
+def rendered(schema, values, fmt: str) -> bytes:
+    """The text the threaded tier renders in-process for ``values``."""
+    renderer = RowRenderer(schema)
+    return renderer.csv(values) if fmt == "csv" else renderer.ndjson(values)
 
 
 class TestBitEquality:
@@ -106,6 +116,81 @@ class TestBitEquality:
             assert values.base is not None
             del values, hit
             gc.collect()  # release the slot leases before teardown
+        finally:
+            pool.close()
+
+
+class TestRenderedText:
+    """Takes that name a format: the workers' rendered text, copied by the
+    front end, must equal the threaded tier's in-process rendering."""
+
+    def test_block_takes_match_threaded_rendering(self, populated_registry,
+                                                  trained_gan):
+        # 4 slots of 64 rows: the 882 rows wrap the ring three times, and
+        # most requests straddle a block boundary.
+        counts = [13, 50, 1, 200, 64, 300, 7, 7, 100, 140]
+        formats = ["csv", "json"] * 5
+        expected = reference_stream(trained_gan, sum(counts), counts)
+        pool = make_pool(populated_registry)
+        try:
+            assert pool.worker_info()["ring_slots"] * BATCH < sum(counts)
+            first, base = pool.take_block(counts[:4], formats=formats[:4])
+            rest, _ = pool.take_block(counts[4:], formats=formats[4:])
+            assert base == 0
+            for got, want, fmt in zip(first + rest, expected, formats):
+                assert got == rendered(pool.schema, want, fmt)
+            assert pool.profile.snapshot()["render"]["count"] >= 1
+        finally:
+            pool.close()
+
+    def test_pooled_take_copies_the_text(self, populated_registry,
+                                         trained_gan):
+        expected = reference_stream(trained_gan, 96, [40, 56])
+        pool = make_pool(populated_registry)
+        try:
+            deadline = time.monotonic() + 30
+            while pool.pooled_rows < 96:
+                pool.replenish()
+                assert time.monotonic() < deadline, "pool never filled"
+                time.sleep(0.005)
+            for want, offset, fmt in zip(expected, (0, 40), ("json", "csv")):
+                text, base = pool.take_pooled(len(want), fmt=fmt)
+                assert base == offset
+                assert text == rendered(pool.schema, want, fmt)
+            assert pool._leases == [0] * pool._S  # a copy holds no lease
+        finally:
+            pool.close()
+
+    def test_sigkill_mid_stream_rerenders_identical_text(
+            self, populated_registry, trained_gan):
+        counts = [100, 300, 250, 64, 86]
+        expected = reference_stream(trained_gan, 800, [800])[0]
+        pool = make_pool(populated_registry)
+        try:
+            first, _ = pool.take_block(counts[:1], formats=["csv"])
+            os.kill(pool.worker_info()["pids"][0], signal.SIGKILL)
+            rest, _ = pool.take_block(counts[1:], formats=["csv"] * 4)
+            assert b"".join(first + rest) == rendered(pool.schema, expected,
+                                                      "csv")
+            assert pool.worker_info()["crashes"] >= 1
+        finally:
+            pool.close()
+
+    def test_render_overflow_fails_the_block_loudly(self, populated_registry,
+                                                    monkeypatch):
+        # A ring slot too small for its block's text: the worker reports
+        # an error (retried, then fatal) — never a truncated body.
+        def cramped(ring, slot, values):
+            ring.renderer.render_into(values, ring.text[0][slot][:10],
+                                      ring.offsets[slot, 0],
+                                      ring.text[1][slot],
+                                      ring.offsets[slot, 1])
+
+        monkeypatch.setattr(procpool._TextRing, "render", cramped)
+        pool = make_pool(populated_registry, workers=1, block_retries=1)
+        try:
+            with pytest.raises(WorkerPoolError, match="bytes"):
+                pool.take_block([BATCH], formats=["csv"])
         finally:
             pool.close()
 
@@ -174,7 +259,9 @@ class TestShmHygiene:
         pool = make_pool(populated_registry)
         try:
             pool.take_block([32])
-            assert len(shm_segments()) > len(before)
+            created = set(shm_segments()) - set(before)
+            # Decoded rows, latents and rendered text.
+            assert sorted(name[-1] for name in created) == ["d", "t", "z"]
         finally:
             pool.close()
         assert shm_segments() == before

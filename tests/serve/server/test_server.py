@@ -4,7 +4,10 @@ import csv
 import http.client
 import io
 import json
+import os
+import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -189,6 +192,74 @@ class TestStreaming:
         assert reply["columns"] == list(direct.schema.names)
         assert np.array_equal(np.array(reply["rows"]),
                               np.array(decoded_rows(direct.sample(40))))
+
+
+class TestTierByteIdentity:
+    """Pool workers render the response text and the front end only
+    slices it: every body must equal the threaded server's, byte for
+    byte."""
+
+    #: A 4-slot ring of 64-row blocks (256 rows); 48-row stream chunks
+    #: straddle block boundaries.
+    GEOMETRY = dict(pool_size=128, batch_rows=64, stream_threshold_rows=100,
+                    stream_chunk_rows=48)
+    #: (rows, format): buffered JSON and CSV, a streamed CSV export that
+    #: wraps the ring twice, streamed NDJSON, then buffered again.
+    REQUESTS = [(7, "json"), (30, "csv"), (700, "csv"), (300, "json"),
+                (90, "csv"), (3, "json")]
+
+    def _bodies(self, registry, workers: int) -> list[bytes]:
+        with SynthesisServer(registry, port=0, seed=SEED,
+                             server_workers=workers,
+                             **self.GEOMETRY) as server:
+            with SynthesisClient(port=server.port) as client:
+                return [client._request("POST", "/models/tiny/sample",
+                                        payload={"n": n, "format": fmt})[1]
+                        for n, fmt in self.REQUESTS]
+
+    def test_pool_bodies_equal_threaded_bodies(self, populated_registry):
+        threaded = self._bodies(populated_registry, 0)
+        pooled = self._bodies(populated_registry, 2)
+        for (n, fmt), want, got in zip(self.REQUESTS, threaded, pooled):
+            assert got == want, (n, fmt)
+        assert threaded[2].count(b"\r\n") == 701  # streamed, with header
+
+    def test_sigkill_mid_stream_keeps_the_body(self, populated_registry):
+        payload = json.dumps({"n": 1500, "format": "csv"})
+
+        def export(server, kill: bool) -> bytes:
+            conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                              timeout=60)
+            try:
+                conn.request("POST", "/models/tiny/sample", body=payload,
+                             headers={"Content-Type": "application/json"})
+                response = conn.getresponse()
+                head = response.read(2048)
+                if kill:
+                    pool = server.router.get("tiny").service
+                    deadline = time.monotonic() + 30
+                    while True:  # a worker holding a block in flight
+                        busy = [pid for pid, held in zip(
+                            pool.worker_pids, pool._assigned) if held]
+                        if busy:
+                            os.kill(busy[0], signal.SIGKILL)
+                            break
+                        assert time.monotonic() < deadline
+                        time.sleep(0.001)
+                body = head + response.read()
+                assert response.status == 200
+                return body
+            finally:
+                conn.close()
+
+        with SynthesisServer(populated_registry, port=0, seed=SEED,
+                             **self.GEOMETRY) as server:
+            expected = export(server, kill=False)
+        with SynthesisServer(populated_registry, port=0, seed=SEED,
+                             server_workers=2, **self.GEOMETRY) as server:
+            assert export(server, kill=True) == expected
+            info = server.router.get("tiny").service.worker_info()
+            assert info["crashes"] >= 1
 
 
 class TestDeterminismUnderConcurrency:
